@@ -1,10 +1,9 @@
 #!/usr/bin/env python
 """Behavioural-drift gate: fresh eval-suite runs vs checked-in pins.
 
-The perf twin of :mod:`check_regression`: where that script guards
-``BENCH_*.json`` timings, this one guards ``EVAL_*.json`` *behaviour* —
-per solver × cell-class success counts and round totals for every named
-suite in :data:`repro.evals.SUITES`.  Unlike timings, behaviour is
+Guards the ``EVAL_*.json`` pins' *behaviour* — per solver × cell-class
+success counts and round totals for every named suite in
+:data:`repro.evals.SUITES`.  Unlike timings, behaviour is
 deterministic, so the comparison is exact: any drift fails, there is no
 tolerance knob, and CI can gate on a full re-run without flakiness.
 

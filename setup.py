@@ -1,14 +1,14 @@
-"""Legacy setup shim: enables `pip install -e .` without the wheel package.
+"""Package metadata: `pip install -e .` (or `python setup.py develop`).
 
-All real metadata lives in pyproject.toml; this file only exists because the
-offline environment lacks `wheel` (required for PEP 660 editable installs).
+This is the project's only packaging file; the tests and tools also run
+from a plain checkout with `PYTHONPATH=src`.
 """
 
 from setuptools import find_packages, setup
 
 setup(
     name="repro",
-    version="1.7.0",
+    version="1.8.0",
     package_dir={"": "src"},
     packages=find_packages(where="src"),
     package_data={"repro": ["py.typed"]},

@@ -4,7 +4,7 @@ A full reproduction of the paper's system: an anonymous port-labeled
 graph substrate, a synchronous mobile-robot simulator with sub-round
 semantics, the complete adversary zoo (weak and strong Byzantine), all
 seven Table 1 algorithms, the Theorem 8 impossibility construction,
-prior-work baselines, and the benchmark harness that regenerates the
+prior-work baselines, and the experiment sweeps that regenerate the
 paper's results table.
 
 Quick start — one run::
@@ -115,7 +115,7 @@ from .sim import (
     parse_scheduler,
 )
 
-__version__ = "1.7.0"
+__version__ = "1.8.0"
 
 __all__ = [
     "__version__",

@@ -5,9 +5,7 @@ declarative Scenario API in :mod:`repro.scenarios` — new experiment code
 should build :class:`~repro.scenarios.ScenarioGrid`s directly.
 """
 
-from .benchmark import run_benchmark, write_bench_json
 from .complexity import PowerFit, doubling_ratios, fit_power_law
-from .graphbench import run_graph_benchmark
 from .experiments import (
     DEFAULT_POLICY,
     ExecutionPolicy,
@@ -54,7 +52,4 @@ __all__ = [
     "scaling_sweep",
     "scheduler_matrix",
     "strategy_matrix",
-    "run_benchmark",
-    "run_graph_benchmark",
-    "write_bench_json",
 ]

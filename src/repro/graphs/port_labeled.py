@@ -39,11 +39,12 @@ Design notes
 from __future__ import annotations
 
 from array import array
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
-
-import networkx as nx
+from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from ..errors import GraphStructureError, PortError
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = ["PortLabeledGraph"]
 
@@ -271,6 +272,8 @@ class PortLabeledGraph:
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[Tuple[int, int]]) -> "PortLabeledGraph":
         """Convenience: deterministic port labeling of an edge list."""
+        import networkx as nx  # deferred: keeps networkx out of ``import repro``
+
         g = nx.Graph()
         g.add_nodes_from(range(n))
         g.add_edges_from(edges)
@@ -403,6 +406,8 @@ class PortLabeledGraph:
 
     def to_networkx(self) -> nx.Graph:
         """Export the underlying simple graph (port labels as edge attrs)."""
+        import networkx as nx  # deferred: keeps networkx out of ``import repro``
+
         g = nx.Graph()
         g.add_nodes_from(range(self._n))
         for u, p, v, q in self.edges():

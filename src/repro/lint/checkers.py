@@ -8,13 +8,13 @@ for the rule-by-rule rationale and the pragma escape hatches):
   streams; module-level ``random.*`` / legacy ``numpy.random.*`` global
   state cannot be replayed across processes or resumes.
 * :class:`WallClockChecker` — clock reads in solver/record paths break
-  byte-identity between runs; only bench modules and the executor's
-  timeout machinery may measure time.
+  byte-identity between runs; timing that never reaches a record
+  (timeouts, server latency, display-only spans) carries a pragma.
 * :class:`UnorderedIterationChecker` — set iteration order is hash-
   dependent (and ``PYTHONHASHSEED``-dependent for strings); anything
   that feeds records, store writes, or sub-round order must iterate
   ``sorted(...)``.
-* :class:`CanonicalJsonChecker` — the store and baseline writers must
+* :class:`CanonicalJsonChecker` — the store and batch-grouping writers must
   serialize with ``sort_keys=True`` or byte-level cache identity is at
   the mercy of dict construction order.
 * :class:`ExceptionHygieneChecker` — a broad ``except`` can swallow the
@@ -135,30 +135,22 @@ _CLOCK_CALLS = frozenset({
 
 
 class WallClockChecker(Checker):
-    """Ban clock reads outside bench modules and timeout machinery.
+    """Ban clock reads outside pragma'd timing code.
 
     A wall-clock value that reaches a record, a store shard, or a
     control-flow decision makes two otherwise-identical runs diverge.
-    The bench modules (which exist to measure time) are exempted by
-    path; the plan executor's timeout machinery carries line pragmas
-    with justifications.
+    Timing that never reaches a record (the plan executor's timeouts,
+    the server's latency metrics, display-only spans) carries line
+    pragmas with justifications.
     """
 
     name = "no-wallclock-in-records"
     pragma = "allow-wallclock"
-    description = ("time.time/perf_counter/datetime.now outside bench "
-                   "modules and the executor's timeout machinery")
+    description = ("time.time/perf_counter/datetime.now outside "
+                   "pragma'd timeout and latency code")
     hint = ("record-producing code must be a pure function of its seeds; "
             "move timing into benchmarks/ or a bench module, or pragma "
             "the line with a justification if it is timeout machinery")
-    exempt_suffixes = (
-        # Bench modules measure wall time by design; their outputs are
-        # perf baselines, never solver records or store cells.
-        "repro/analysis/benchmark.py",
-        "repro/analysis/graphbench.py",
-        "repro/analysis/batchbench.py",
-    )
-
     def check(self, module: Module) -> Iterator[Finding]:
         imports = ImportMap.of(module.tree)
         for node in ast.walk(module.tree):
@@ -366,24 +358,23 @@ class UnorderedIterationChecker(Checker):
 # --------------------------------------------------------------------- #
 
 class CanonicalJsonChecker(Checker):
-    """Require ``sort_keys=True`` in the store/baseline serializers.
+    """Require ``sort_keys=True`` in the store and batch-grouping serializers.
 
-    Scoped to the modules that write store shards or bench baselines:
-    there, JSON bytes *are* identity (content hashes, cache keys,
-    byte-compared baselines), so key order must be canonical, not
-    whatever dict construction order happens to be.
+    Scoped to the modules that write store shards or batch group keys:
+    there, JSON bytes *are* identity (content hashes, cache keys), so
+    key order must be canonical, not whatever dict construction order
+    happens to be.
     """
 
     name = "canonical-json-only"
     pragma = "allow-unsorted-json"
     description = ("json.dumps/json.dump without sort_keys=True in "
-                   "store-shard / bench-baseline writer modules")
+                   "store-shard / batch-key writer modules")
     hint = ("pass sort_keys=True (canonical bytes), or pragma with a "
             "justification when insertion order is itself the pinned "
             "contract")
     only_suffixes = (
         "repro/analysis/store.py",
-        "repro/analysis/benchmark.py",
         "repro/analysis/batching.py",
     )
 

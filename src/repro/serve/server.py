@@ -27,7 +27,7 @@ deterministic :class:`~repro.errors.ReproError` rejections during a run
 the body — the server never crashes on a failing cell.
 
 :class:`ServerThread` runs the whole stack on a background thread for
-tests, benchmarks, and the README tour; :func:`run_server` is the
+tests and the README tour; :func:`run_server` is the
 blocking CLI entry point.
 """
 
@@ -303,8 +303,8 @@ def _build_service(
 
 
 class ServerThread:
-    """The full serve stack on a background thread (tests, benchmarks,
-    the README tour, and ``tools/load_serve.py`` all boot through this).
+    """The full serve stack on a background thread (tests and the README
+    tour boot through this).
 
     ``port=0`` binds an ephemeral port; ``.port`` / ``.base_url`` are
     valid once :meth:`start` returns.  ``.service`` exposes the live

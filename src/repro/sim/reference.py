@@ -1,4 +1,4 @@
-"""Straight-line reference engine for differential testing and benchmarks.
+"""Straight-line reference engine for differential testing.
 
 :class:`ReferenceWorld` re-implements :meth:`World.step` exactly the way
 the original (pre-optimization) engine did:
@@ -12,9 +12,7 @@ the original (pre-optimization) engine did:
 The optimized :class:`~repro.sim.world.World` must be observably
 indistinguishable from this class — same traces, same round counters,
 same positions — for any program and any seed.  Tests in
-``tests/test_engine_fastpath.py`` assert that equivalence, and
-``benchmarks/bench_engine.py`` uses this class as the wall-clock baseline
-the ≥3× speedup target is measured against.
+``tests/test_engine_fastpath.py`` assert that equivalence.
 
 Keep this file boring: it is the executable specification of one round.
 """
@@ -37,8 +35,7 @@ class _SeedReadPaths:
     every :meth:`colocated` call and resolved
     :meth:`colocated_at_round_start` by scanning the eager snapshot of the
     *entire* population.  The optimized engine replaced both; these
-    variants keep the old cost model so benchmark comparisons are honest
-    and behaviour stays pinned to the original read semantics.
+    variants keep behaviour pinned to the original read semantics.
     """
 
     def colocated(self) -> List[PublicView]:
@@ -107,9 +104,8 @@ class ReferenceWorld(World):
         # Freeze the round-start snapshot: the paper's "in round t" sets.
         # The seed engine had no view cache and built a fresh PublicView
         # per robot per round; invalidating the cache first reproduces
-        # that cost faithfully (this class is also the benchmark
-        # baseline).  Reads go through the same start_view fields the
-        # optimized engine uses.
+        # that behaviour faithfully.  Reads go through the same
+        # start_view fields the optimized engine uses.
         rnd = self.round
         snapshot = {}
         for rid, r in self.robots.items():

@@ -95,6 +95,7 @@ class TestRingPriorWork:
     def test_max_tolerance(self):
         rep = solve_ring_dispersion(7, f=6, adversary=Adversary("ghost_squatter"))
         assert rep.success
+        assert rep.rounds_simulated <= 2 * 7 + 2
 
     @pytest.mark.parametrize("strategy", ["squatter", "flag_spammer", "idle", "random_walker"])
     def test_strategies_at_half(self, strategy):
@@ -107,6 +108,17 @@ class TestRingPriorWork:
         r18 = solve_ring_dispersion(18, f=9, adversary=Adversary("idle"))
         assert r18.rounds_simulated <= 2 * 18 + 2
         assert r9.rounds_simulated <= 2 * 9 + 2
+
+    def test_general_algorithm_pays_for_generality(self):
+        """On the same ring, the general gathered algorithm (Table 1
+        row 4) simulates over 10x the prior work's rounds: the map the
+        ring algorithm gets for free must be earned off the ring."""
+        from repro.core import get_row
+
+        ring_rep = solve_ring_dispersion(9, f=2, adversary=Adversary("squatter"))
+        general = get_row(4).solver(ring(9), f=2, adversary=Adversary("squatter"), seed=6)
+        assert ring_rep.success and general.success
+        assert general.rounds_simulated > 10 * ring_rep.rounds_simulated
 
     def test_gathered_start(self):
         rep = solve_ring_dispersion(8, f=3, adversary=Adversary("squatter"), start="gathered")

@@ -62,13 +62,11 @@ class TestConstruction:
     def test_boundary_sweep(self, rc8):
         """Crossing the ⌈k/n⌉ > ⌈(k−f)/n⌉ line flips the outcome."""
         k = 2 * rc8.n
-        outcomes = {}
-        for f in (rc8.n - 2, rc8.n - 1, rc8.n, rc8.n + 1):
+        for f in range(0, rc8.n + 3):
             rep = demonstrate_impossibility(rc8, k=k, f=f, seed=0)
-            outcomes[f] = (rep.applies, rep.violated)
-        # k=2n: applies iff k-f <= n  <=>  f >= n.
-        assert outcomes[rc8.n - 1] == (False, False)
-        assert outcomes[rc8.n][0] and outcomes[rc8.n][1]
+            # k=2n: applies iff k-f <= n  <=>  f >= n, and the
+            # construction violates exactly when the theorem applies.
+            assert (rep.applies, rep.violated) == (f >= rc8.n, f >= rc8.n), f
 
     def test_ring_instance(self):
         rep = demonstrate_impossibility(ring(6), k=9, f=4, seed=3)

@@ -2,9 +2,27 @@
 
 import pytest
 
-from repro.analysis import run_table1, run_table1_row, scaling_sweep, tolerance_sweep
+from repro.analysis import (
+    fit_power_law,
+    run_table1,
+    run_table1_row,
+    scaling_sweep,
+    tolerance_sweep,
+)
 from repro.core import TABLE1, get_row, row_applicable
-from repro.graphs import random_connected, ring
+from repro.graphs import is_quotient_isomorphic, random_connected, ring
+
+
+def _view_distinct(n):
+    """The first view-distinguishable ``random_connected(n, seed)``."""
+    for seed in range(50):
+        g = random_connected(n, seed=seed)
+        if is_quotient_isomorphic(g):
+            return g
+    raise RuntimeError(f"no view-distinguishable graph on {n} nodes")
+
+
+SCALING_GRAPHS = [_view_distinct(n) for n in (6, 8, 10, 12)]
 
 
 class TestRegistryShape:
@@ -83,3 +101,45 @@ class TestSweeps:
         bounds = [r["paper_bound"] for r in recs]
         assert bounds == sorted(bounds)
         assert all(r["success"] for r in recs)
+
+    @pytest.mark.parametrize("serial,strategy", [
+        (1, "ghost_squatter"), (4, "ghost_squatter"), (5, "ghost_squatter"),
+        (7, "impersonator"),
+    ])
+    def test_tolerance_sweep_rejects_exactly_beyond_f_max(self, serial, strategy):
+        g = _view_distinct(9)
+        row = get_row(serial)
+        f_max = row.f_max(g)
+        fs = sorted({0, 1, f_max // 2, f_max, f_max + 1, g.n - 1})
+        recs = tolerance_sweep(row, g, fs, strategy, seed=1)
+        ran = [r for r in recs if not r.get("rejected")]
+        assert ran and all(r["success"] for r in ran)
+        assert {r["f"] for r in recs if r.get("rejected")} == {f for f in fs if f > f_max}
+
+    @pytest.mark.parametrize("serial", [1, 4, 5, 7])
+    def test_scaling_fit_is_superlinear_in_rounds(self, serial):
+        """Fitted ``rounds_total ~ n^alpha`` over n = 6..12 grows faster
+        than sqrt(n) on every row with simulated rounds."""
+        recs = scaling_sweep(get_row(serial), SCALING_GRAPHS, "squatter", seed=1,
+                             f_fraction_of_max=1.0)
+        assert all(r["success"] for r in recs)
+        fit = fit_power_law([r["n"] for r in recs],
+                            [max(r["rounds_total"], 1) for r in recs])
+        assert fit.alpha > 0.5
+
+    def test_row4_over_row5_gap_widens_with_n(self):
+        """The O(n^4) (row 4) vs O(n^3) (row 5) separation: row 4
+        simulates more rounds at every n, and the ratio grows."""
+        r4 = scaling_sweep(get_row(4), SCALING_GRAPHS, "idle", seed=2)
+        r5 = scaling_sweep(get_row(5), SCALING_GRAPHS, "idle", seed=2)
+        ratios = [a["rounds_simulated"] / max(b["rounds_simulated"], 1)
+                  for a, b in zip(r4, r5)]
+        assert all(r > 1.0 for r in ratios)
+        assert ratios[-1] > ratios[0]
+
+    def test_row2_charge_above_row3_at_every_n(self):
+        r2 = scaling_sweep(get_row(2), SCALING_GRAPHS, "idle", seed=3)
+        r3 = scaling_sweep(get_row(3), SCALING_GRAPHS, "idle", seed=3)
+        assert all(r["success"] for r in r2 + r3)
+        for a, b in zip(r2, r3):
+            assert a["rounds_charged"] > b["rounds_charged"]

@@ -59,3 +59,6 @@ def test_table1_certificate(certificate_graph, serial, strategy, placement):
     # the lowest-IDs-corrupted convention, so only compare under it.
     if serial in (3, 6) or (serial == 2 and placement == "lowest"):
         assert report.rounds_charged == row.paper_bound(certificate_graph, f)
+    # The gathered-start rows are simulated end to end: nothing charged.
+    if serial in (4, 5, 7):
+        assert report.rounds_charged == 0
